@@ -1,9 +1,8 @@
 // Storage-backend microbench: ops/sec, recovery time and I/O counters
 // for each pluggable backend (memory, durable/WAL, file-segment, mmap),
 // a 1000-server snapshot-streaming transfer workload over
-// ReplicaDataMap, the group-commit fsync rate of the I/O offload pool,
-// and the delta-vs-snapshot byte split of incremental log shipping —
-// the persistence cost the placement economy's transfer accounting is
+// ReplicaDataMap and the group-commit fsync rate of the I/O offload pool
+// — the persistence cost the placement economy's transfer accounting is
 // measured against.
 //
 //   ./build/bench/micro_storage_backends [--seed=S] [--out=FILE]
@@ -37,8 +36,6 @@ constexpr int kOps = 20000;
 constexpr int kServers = 1000;
 constexpr int kRecordsPerPartition = 32;
 constexpr int kTransfers = 1500;
-constexpr int kDeltaRounds = 3;
-constexpr int kDeltaRecordsPerRound = 4;
 
 double Secs(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -150,7 +147,6 @@ struct TransferRun {
   std::string name;
   double transfers_sec = 0;
   uint64_t streamed_bytes = 0;
-  uint64_t delta_transfers = 0;  // transfers that went incremental
   size_t intact = 0;  // partitions fully present at their final holder
 };
 
@@ -187,17 +183,13 @@ TransferRun RunTransferWorkload(const BackendConfig& config) {
       auto moved = data.For(static_cast<uint32_t>(dst))
                        .CopyFrom(data.For(static_cast<uint32_t>(src)),
                                  static_cast<uint64_t>(pid));
-      if (moved.ok()) {
-        streamed += moved->bytes;
-        if (moved->delta) ++run.delta_transfers;
-      }
+      if (moved.ok()) streamed += moved->bytes;
     } else {
       auto moved = data.For(static_cast<uint32_t>(dst))
                        .MoveFrom(&data.For(static_cast<uint32_t>(src)),
                                  static_cast<uint64_t>(pid));
       if (moved.ok()) {
         streamed += moved->bytes;
-        if (moved->delta) ++run.delta_transfers;
         holder[pid] = dst;
       }
     }
@@ -241,7 +233,7 @@ GroupCommitRun RunGroupCommit(BackendConfig config,
   auto make_backends = [&](const BackendConfig& c, IoPool* pool)
       -> std::vector<std::unique_ptr<StorageBackend>> {
     BackendFactory factory(c);
-    if (pool != nullptr) factory.AttachIoPool(pool, /*watermark=*/0);
+    if (pool != nullptr) factory.AttachIoPool(pool);
     std::vector<std::unique_ptr<StorageBackend>> backends;
     for (int p = 0; p < kParts; ++p) {
       auto b = factory.Create(static_cast<uint64_t>(p));
@@ -280,63 +272,6 @@ GroupCommitRun RunGroupCommit(BackendConfig config,
   return run;
 }
 
-struct DeltaRun {
-  uint64_t snapshot_transfers = 0;
-  uint64_t delta_transfers = 0;
-  uint64_t snapshot_bytes = 0;
-  uint64_t delta_bytes = 0;
-};
-
-/// Incremental log shipping at the 1000-server transfer scale: every
-/// partition is cold-copied to a standby once (full snapshot), then
-/// re-synced after each of kDeltaRounds small write batches — the
-/// re-syncs ship only the log suffix.
-DeltaRun RunDeltaWorkload() {
-  DeltaRun run;
-  BackendConfig config;
-  config.kind = BackendKind::kDurable;
-  const BackendFactory base(config);
-  ReplicaDataMap data(
-      [&base](uint32_t server) { return base.ForServer(server); });
-
-  const std::string value(64, 'd');
-  for (int p = 0; p < kServers; ++p) {
-    StorageBackend* primary =
-        data.For(static_cast<uint32_t>(p))
-            .OpenOrCreate(static_cast<uint64_t>(p));
-    for (int r = 0; r < kRecordsPerPartition; ++r) {
-      (void)primary->Put(Key(r), value);
-    }
-  }
-
-  for (int round = 0; round <= kDeltaRounds; ++round) {
-    for (int p = 0; p < kServers; ++p) {
-      if (round > 0) {
-        StorageBackend* primary = data.For(static_cast<uint32_t>(p))
-                                      .Find(static_cast<uint64_t>(p));
-        const int first =
-            kRecordsPerPartition + (round - 1) * kDeltaRecordsPerRound;
-        for (int r = 0; r < kDeltaRecordsPerRound; ++r) {
-          (void)primary->Put(Key(first + r), value);
-        }
-      }
-      const int standby = (p + 1) % kServers;
-      auto shipped = data.For(static_cast<uint32_t>(standby))
-                         .CopyFrom(data.For(static_cast<uint32_t>(p)),
-                                   static_cast<uint64_t>(p));
-      if (!shipped.ok()) continue;
-      if (shipped->delta) {
-        ++run.delta_transfers;
-        run.delta_bytes += shipped->bytes;
-      } else {
-        ++run.snapshot_transfers;
-        run.snapshot_bytes += shipped->bytes;
-      }
-    }
-  }
-  return run;
-}
-
 void PrintRun(const BackendRun& r) {
   std::printf(
       "%-8s put %9.0f/s  get %9.0f/s  del %9.0f/s  recovery %.4fs "
@@ -357,7 +292,7 @@ void PrintRun(const BackendRun& r) {
 obs::MetricsRegistry BuildBenchRegistry(
     const std::vector<BackendRun>& runs,
     const std::vector<TransferRun>& transfers,
-    const std::vector<GroupCommitRun>& commits, const DeltaRun& delta) {
+    const std::vector<GroupCommitRun>& commits) {
   obs::MetricsRegistry reg;
   reg.SetInfo("bench.name", "micro_storage_backends");
   for (const BackendRun& r : runs) {
@@ -376,7 +311,6 @@ obs::MetricsRegistry BuildBenchRegistry(
     const std::string base = "transfer." + t.name + ".";
     reg.SetGauge(base + "transfers_sec", t.transfers_sec);
     reg.SetCounter(base + "streamed_bytes", t.streamed_bytes);
-    reg.SetCounter(base + "delta_transfers", t.delta_transfers);
     reg.SetCounter(base + "intact", t.intact);
   }
   for (const GroupCommitRun& g : commits) {
@@ -386,13 +320,6 @@ obs::MetricsRegistry BuildBenchRegistry(
     reg.SetCounter(base + "group_commits", g.group_commits);
     reg.SetCounter(base + "coalesced_fsyncs", g.coalesced);
   }
-  reg.SetCounter("delta_shipping.snapshot_transfers",
-                 delta.snapshot_transfers);
-  reg.SetCounter("delta_shipping.delta_transfers", delta.delta_transfers);
-  reg.SetCounter("delta_shipping.snapshot_bytes", delta.snapshot_bytes);
-  reg.SetCounter("delta_shipping.delta_bytes", delta.delta_bytes);
-  reg.SetFlag("delta_shipping.delta_smaller",
-              delta.delta_bytes < delta.snapshot_bytes);
   return reg;
 }
 
@@ -446,11 +373,9 @@ int main(int argc, char** argv) {
     }
     transfers.push_back(RunTransferWorkload(config));
     const TransferRun& t = transfers.back();
-    std::printf("%-8s %9.0f transfers/s  streamed %llu B  "
-                "(%llu delta)  intact %zu/%d\n",
+    std::printf("%-8s %9.0f transfers/s  streamed %llu B  intact %zu/%d\n",
                 t.name.c_str(), t.transfers_sec,
                 static_cast<unsigned long long>(t.streamed_bytes),
-                static_cast<unsigned long long>(t.delta_transfers),
                 t.intact, kServers);
   }
 
@@ -471,16 +396,6 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(g.group_commits),
                 static_cast<unsigned long long>(g.coalesced));
   }
-
-  bench::PrintSection("delta vs snapshot replication (log shipping)");
-  const DeltaRun delta = RunDeltaWorkload();
-  std::printf(
-      "%d cold copies: %llu B   %d delta rounds x %d servers: %llu B "
-      "(%llu delta transfers)\n",
-      kServers, static_cast<unsigned long long>(delta.snapshot_bytes),
-      kDeltaRounds, kServers,
-      static_cast<unsigned long long>(delta.delta_bytes),
-      static_cast<unsigned long long>(delta.delta_transfers));
 
   bench::ShapeChecks checks;
   const size_t expected = static_cast<size_t>(kOps - kOps / 4);
@@ -521,23 +436,8 @@ int main(int argc, char** argv) {
                      std::to_string(g.grouped_fsyncs) + " (" +
                      std::to_string(g.coalesced) + " absorbed)");
   }
-  checks.Check("cold copies ship full snapshots",
-               delta.snapshot_transfers ==
-                   static_cast<uint64_t>(kServers) &&
-                   delta.snapshot_bytes > 0,
-               std::to_string(delta.snapshot_transfers) + " snapshots");
-  checks.Check("warm re-syncs ship incremental deltas",
-               delta.delta_transfers ==
-                   static_cast<uint64_t>(kDeltaRounds * kServers),
-               std::to_string(delta.delta_transfers) + " deltas");
-  checks.Check("deltas move fewer bytes than snapshots",
-               delta.delta_bytes > 0 &&
-                   delta.delta_bytes < delta.snapshot_bytes,
-               std::to_string(delta.delta_bytes) + " < " +
-                   std::to_string(delta.snapshot_bytes));
-
   const obs::MetricsRegistry registry =
-      BuildBenchRegistry(runs, transfers, commits, delta);
+      BuildBenchRegistry(runs, transfers, commits);
   const std::string json_path =
       args.out.empty() ? "BENCH_storage.json" : args.out;
   const bool json_ok = registry.WriteJson(json_path).ok();

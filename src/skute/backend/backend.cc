@@ -1,7 +1,5 @@
 #include "skute/backend/backend.h"
 
-#include <atomic>
-
 #include "skute/io/io_pool.h"
 #include "skute/obs/trace.h"
 #include "skute/storage/wal.h"
@@ -10,16 +8,8 @@ namespace skute {
 
 namespace {
 
-/// Process-wide sync-token allocator. Allocation order is racy across
-/// threads, so tokens are nondeterministic values — the API contract
-/// (backend.h) is that only token *equality* may influence results.
-uint64_t NextSyncToken() {
-  static std::atomic<uint64_t> next{1};
-  return next.fetch_add(1, std::memory_order_relaxed);
-}
-
-/// Shared replay loop behind ImportSnapshot and ImportDelta: applies the
-/// intact prefix, reports consumed bytes, kInternal on a damaged record.
+/// The replay loop behind ImportSnapshot: applies the intact prefix,
+/// reports consumed bytes, kInternal on a damaged record.
 Status ReplayFrames(StorageBackend* backend, std::string_view bytes,
                     uint64_t* consumed) {
   WalReader reader(bytes);
@@ -69,8 +59,6 @@ Result<BackendKind> ParseBackendKind(std::string_view name) {
   return Status::InvalidArgument("unknown backend: " + std::string(name));
 }
 
-StorageBackend::StorageBackend() : sync_token_(NextSyncToken()) {}
-
 StorageBackend::~StorageBackend() {
   if (io_pool_ != nullptr) io_pool_->Forget(this);
 }
@@ -108,21 +96,6 @@ Status StorageBackend::ImportSnapshot(std::string_view bytes) {
   io_.snapshot_bytes_in += consumed;
   if (st.IsInternal()) {
     return Status::Internal("corrupt snapshot: intact prefix applied");
-  }
-  return st;
-}
-
-Result<std::string> StorageBackend::ExportDelta(uint64_t) const {
-  return Status::Unavailable("backend does not support delta export");
-}
-
-Status StorageBackend::ImportDelta(std::string_view bytes) {
-  obs::TraceSpan span("io", "delta.import", bytes.size());
-  uint64_t consumed = 0;
-  const Status st = ReplayFrames(this, bytes, &consumed);
-  io_.delta_bytes_in += consumed;
-  if (st.IsInternal()) {
-    return Status::Internal("corrupt delta: intact prefix applied");
   }
   return st;
 }

@@ -33,7 +33,6 @@ class IoPool;
 ///    simply leave the log/flush/fsync counters at zero.
 class StorageBackend {
  public:
-  StorageBackend();
   virtual ~StorageBackend();
 
   virtual BackendKind kind() const = 0;
@@ -67,12 +66,6 @@ class StorageBackend {
   /// The backend stays usable (empty) afterwards.
   virtual Status Wipe() = 0;
 
-  /// Compacts the backend's shippable log / on-disk history once the live
-  /// state is safely persisted (WAL backends truncate their log; others
-  /// no-op). The durability stage calls this every checkpoint_interval
-  /// epochs.
-  virtual void Checkpoint() {}
-
   // --- async durability plane ----------------------------------------------
 
   /// Bytes written since the last flush/fsync — what the durability stage
@@ -98,46 +91,6 @@ class StorageBackend {
   /// backend's IoStats.
   void NoteThrottle(uint64_t us) { io_.throttle_us += us; }
 
-  // --- incremental replication (delta shipping) ----------------------------
-
-  /// Where a replica's bytes last came from: the source backend's sync
-  /// token plus the source's delta sequence at import time. ReplicaStore
-  /// records this after a successful transfer, so the next CopyFrom from
-  /// the same source can ship only the records since `source_seq`.
-  struct SyncOrigin {
-    uint64_t source_token = 0;  ///< 0 = never synced / origin unknown
-    uint64_t source_seq = 0;
-  };
-
-  /// Process-unique identity of this backend instance (never 0). Token
-  /// values are allocation-ordered and therefore nondeterministic across
-  /// runs — they must never be exported into results; only *equality*
-  /// is meaningful, and equality outcomes are deterministic.
-  uint64_t sync_token() const { return sync_token_; }
-
-  const SyncOrigin& sync_origin() const { return sync_origin_; }
-  void set_sync_origin(const SyncOrigin& origin) { sync_origin_ = origin; }
-
-  /// True when this backend can produce incremental deltas (a durable log
-  /// with monotonic sequences). Pairs that both support it replicate via
-  /// ExportDelta instead of full snapshots.
-  virtual bool SupportsDeltaExport() const { return false; }
-
-  /// Monotonic high-water mark of this backend's mutation log. Survives
-  /// checkpoints (checkpointing truncates the log, not the numbering).
-  virtual uint64_t DeltaSequence() const { return 0; }
-
-  /// WAL-framed records with sequence > `since`. Unavailable when the
-  /// log no longer reaches back to `since` (checkpoint truncated it) or
-  /// `since` is ahead of this backend — callers fall back to a full
-  /// snapshot. Counted in delta_bytes_out.
-  virtual Result<std::string> ExportDelta(uint64_t since) const;
-
-  /// Replays a delta over the current state (same framing and damage
-  /// contract as ImportSnapshot; counted in delta_bytes_in). Deltas are
-  /// idempotent: puts upsert, deletes of missing keys are tolerated.
-  virtual Status ImportDelta(std::string_view bytes);
-
   /// Virtual so decorators can surface the wrapped backend's counters.
   virtual const IoStats& io() const { return io_; }
 
@@ -155,8 +108,6 @@ class StorageBackend {
  private:
   IoPool* io_pool_ = nullptr;
   uint64_t flush_watermark_ = 0;
-  uint64_t sync_token_ = 0;
-  SyncOrigin sync_origin_;
 };
 
 }  // namespace skute

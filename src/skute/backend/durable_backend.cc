@@ -10,7 +10,8 @@ Status DurableBackend::Put(std::string_view key, std::string_view value) {
   const size_t record = EncodedWalRecordSize(key, value);
   io_.log_bytes_written += record;
   unflushed_ += record;
-  const Status st = store_.Put(key, value);
+  wal_.Append(WalOp::kPut, key, value);
+  const Status st = table_.Put(key, value);
   MaybeSubmitFlush();
   return st;
 }
@@ -19,11 +20,12 @@ Status DurableBackend::Delete(std::string_view key) {
   ++io_.deletes;
   // Uniform backend contract: a missing key is NotFound and nothing is
   // logged (the log holds only applied mutations, so it replays exactly).
-  if (!store_.Contains(key)) return Status::NotFound("key not found");
+  if (!table_.Contains(key)) return Status::NotFound("key not found");
   const size_t record = EncodedWalRecordSize(key, {});
   io_.log_bytes_written += record;
   unflushed_ += record;
-  const Status st = store_.Delete(key);
+  wal_.Append(WalOp::kDelete, key, {});
+  const Status st = table_.Delete(key);
   MaybeSubmitFlush();
   return st;
 }
@@ -36,9 +38,9 @@ std::string DurableBackend::ExportSnapshot() const {
   const uint64_t dump_estimate =
       ApproximateBytes() +
       static_cast<uint64_t>(Count()) * EncodedWalRecordSize({}, {});
-  if (!checkpointed_ && store_.log().size() <= dump_estimate) {
-    io_.snapshot_bytes_out += store_.log().size();
-    return store_.log();
+  if (!checkpointed_ && wal_.data().size() <= dump_estimate) {
+    io_.snapshot_bytes_out += wal_.data().size();
+    return wal_.data();
   }
   return StorageBackend::ExportSnapshot();
 }
@@ -52,12 +54,10 @@ Status DurableBackend::Flush() {
 }
 
 Status DurableBackend::Wipe() {
-  store_ = DurableKvStore();
+  table_ = KvStore();
+  wal_.Clear();
   unflushed_ = 0;
   checkpointed_ = false;
-  base_seq_ = 0;
-  delta_disabled_ = false;
-  set_sync_origin(SyncOrigin{});
   return Status::OK();
 }
 
@@ -66,60 +66,29 @@ Result<size_t> DurableBackend::Recover(std::string_view log_bytes) {
   // Recovered records are applied to the memtable without re-logging, so
   // from here on the local log no longer covers the whole history.
   checkpointed_ = true;
-  if (store_.last_sequence() != 0) {
-    // Interleaving unlogged records into a live log breaks the
-    // local→global sequence mapping deltas rely on.
-    delta_disabled_ = true;
+  WalReader reader(log_bytes);
+  size_t applied = 0;
+  // Stops at the clean end (NotFound) or a corrupt tail (kInternal):
+  // everything before it is recovered.
+  for (auto record = reader.Next(); record.ok(); record = reader.Next()) {
+    switch (record->op) {
+      case WalOp::kPut:
+        SKUTE_RETURN_IF_ERROR(table_.Put(record->key, record->value));
+        break;
+      case WalOp::kDelete:
+        (void)table_.Delete(record->key);
+        break;
+    }
+    ++applied;
   }
-  Result<size_t> applied = store_.Recover(log_bytes);
-  if (applied.ok()) base_seq_ += *applied;
   return applied;
 }
 
 void DurableBackend::Checkpoint() {
-  obs::TraceSpan span("io", "wal.checkpoint", store_.log().size());
-  base_seq_ += store_.last_sequence();
-  store_.Checkpoint();
+  obs::TraceSpan span("io", "wal.checkpoint", wal_.data().size());
+  wal_.Clear();
   unflushed_ = 0;
   checkpointed_ = true;
-}
-
-bool DurableBackend::SupportsDeltaExport() const {
-  return !delta_disabled_;
-}
-
-Result<std::string> DurableBackend::ExportDelta(uint64_t since) const {
-  if (delta_disabled_) {
-    return Status::Unavailable("sequence history broken by recover");
-  }
-  const uint64_t seq = DeltaSequence();
-  if (since > seq) {
-    return Status::Unavailable("destination is ahead of this source");
-  }
-  if (since < base_seq_) {
-    return Status::Unavailable("checkpoint truncated the requested range");
-  }
-  if (since == seq) return std::string();  // nothing to ship
-  // Records are framed and ordered in the log; find the byte offset of
-  // the first record past `since` and ship the suffix verbatim.
-  const uint64_t local_since = since - base_seq_;
-  WalReader reader(store_.log());
-  size_t start = 0;
-  for (;;) {
-    const size_t before = reader.offset();
-    auto record = reader.Next();
-    if (!record.ok()) {
-      return Status::Internal("log damaged while slicing delta");
-    }
-    if (record->sequence > local_since) {
-      start = before;
-      break;
-    }
-  }
-  std::string out = store_.log().substr(start);
-  io_.delta_bytes_out += out.size();
-  obs::TraceSpan span("io", "delta.export", out.size());
-  return out;
 }
 
 }  // namespace skute

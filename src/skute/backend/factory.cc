@@ -62,7 +62,7 @@ Result<std::unique_ptr<StorageBackend>> BackendFactory::Create(
         partition_id);
   }
   if (io_pool_ != nullptr) {
-    backend->AttachIoPool(io_pool_, flush_watermark_);
+    backend->AttachIoPool(io_pool_, /*flush_watermark=*/0);
   }
   return backend;
 }

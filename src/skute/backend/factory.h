@@ -33,13 +33,11 @@ class BackendFactory {
   BackendFactory ForServer(uint32_t server_id) const;
 
   /// Every backend this factory creates gets the I/O offload pool
-  /// attached with this flush watermark (0 = submit on every write once
-  /// attached). Copies (ForServer) inherit the attachment, so one call
-  /// on the cluster-wide factory covers the fleet.
-  void AttachIoPool(IoPool* pool, uint64_t flush_watermark) {
-    io_pool_ = pool;
-    flush_watermark_ = flush_watermark;
-  }
+  /// attached with flush watermark 0 (submit on every write, so all of an
+  /// epoch's submissions for one backend collapse into one fsync at the
+  /// drain). Copies (ForServer) inherit the attachment, so one call on
+  /// the cluster-wide factory covers the fleet.
+  void AttachIoPool(IoPool* pool) { io_pool_ = pool; }
 
   IoPool* io_pool() const { return io_pool_; }
 
@@ -61,7 +59,6 @@ class BackendFactory {
  private:
   BackendConfig config_;
   IoPool* io_pool_ = nullptr;
-  uint64_t flush_watermark_ = 0;
   const chaos::StorageFaultState* fault_state_ = nullptr;
   chaos::ChaosCounters* chaos_counters_ = nullptr;
   /// Recorded by ForServer: the identity word chaos draws mix in.

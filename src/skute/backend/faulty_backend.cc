@@ -81,23 +81,4 @@ std::string FaultyBackend::ExportSnapshot() const {
   return out;
 }
 
-Result<std::string> FaultyBackend::ExportDelta(uint64_t since) const {
-  SKUTE_ASSIGN_OR_RETURN(std::string out, inner_->ExportDelta(since));
-  const uint32_t torn_pm = state_->torn_pm.load(std::memory_order_relaxed);
-  if (torn_pm == 0 || out.empty()) return out;
-  const uint64_t seed = state_->seed.load(std::memory_order_relaxed);
-  const uint64_t epoch = state_->epoch.load(std::memory_order_relaxed);
-  const uint64_t salt =
-      state_->torn_salt.load(std::memory_order_relaxed) ^ kExportWord;
-  const uint64_t id =
-      (static_cast<uint64_t>(server_id_) << 32) ^ partition_id_;
-  const uint64_t nonce = NextNonce();
-  if (chaos::FaultFires(seed, epoch, salt, id, nonce, torn_pm)) {
-    counters_->torn_transfers.fetch_add(1, std::memory_order_relaxed);
-    return chaos::TornTail(
-        out, chaos::TornKeepLength(seed, epoch, salt, id, nonce, out.size()));
-  }
-  return out;
-}
-
 }  // namespace skute

@@ -14,7 +14,7 @@
 namespace skute {
 
 /// \brief Chaos decorator: wraps any StorageBackend and injects the
-/// armed storage faults (fsync failures, torn snapshot/delta exports,
+/// armed storage faults (fsync failures, torn snapshot exports,
 /// slow-disk throttling) at the interface boundary.
 ///
 /// Injection is bit-for-bit deterministic: every draw is a pure hash of
@@ -26,13 +26,13 @@ namespace skute {
 /// from exactly one job), so the N-thread schedule replays the 1-thread
 /// draw sequence exactly.
 ///
-/// The wrapper, not the inner backend, is what ReplicaStore holds: sync
-/// tokens/origins live on the wrapper, the IoPool is attached to the
-/// wrapper (so pool-driven flushes pass through the injection point),
-/// and io()/NoteGroupCommit forward to the inner backend so accounting
-/// is unchanged. The inner backend is created without a pool; its
-/// inline MaybeSubmitFlush stays dormant and background compaction is
-/// disabled under chaos (it requires a pool on the inner backend).
+/// The wrapper, not the inner backend, is what ReplicaStore holds: the
+/// IoPool is attached to the wrapper (so pool-driven flushes pass
+/// through the injection point), and io()/NoteGroupCommit forward to the
+/// inner backend so accounting is unchanged. The inner backend is
+/// created without a pool; its inline MaybeSubmitFlush stays dormant and
+/// background compaction is disabled under chaos (it requires a pool on
+/// the inner backend).
 class FaultyBackend : public StorageBackend {
  public:
   FaultyBackend(std::unique_ptr<StorageBackend> inner,
@@ -67,16 +67,8 @@ class FaultyBackend : public StorageBackend {
     return inner_->ImportSnapshot(bytes);
   }
   Status Wipe() override { return inner_->Wipe(); }
-  void Checkpoint() override { inner_->Checkpoint(); }
   uint64_t UnflushedBytes() const override {
     return inner_->UnflushedBytes();
-  }
-  bool SupportsDeltaExport() const override {
-    return inner_->SupportsDeltaExport();
-  }
-  uint64_t DeltaSequence() const override { return inner_->DeltaSequence(); }
-  Status ImportDelta(std::string_view bytes) override {
-    return inner_->ImportDelta(bytes);
   }
   const IoStats& io() const override { return inner_->io(); }
   void NoteGroupCommit(uint64_t coalesced) override {
@@ -90,7 +82,6 @@ class FaultyBackend : public StorageBackend {
   Status Flush() override;
   /// Inner export, torn to a deterministic prefix when the draw fires.
   std::string ExportSnapshot() const override;
-  Result<std::string> ExportDelta(uint64_t since) const override;
 
  private:
   /// Epoch-scoped draw nonce: resets when the published epoch advances,

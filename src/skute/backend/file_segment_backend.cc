@@ -515,7 +515,6 @@ Status FileSegmentBackend::Wipe() {
   corrupt_tail_ = false;
   disk_bytes_ = 0;
   compaction_scheduled_ = false;
-  set_sync_origin(SyncOrigin{});
   return OpenActive(0, 0);
 }
 

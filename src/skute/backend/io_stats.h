@@ -32,9 +32,9 @@ struct IoStats {
   uint64_t snapshot_bytes_out = 0;
   uint64_t snapshot_bytes_in = 0;
 
-  /// Incremental log-shipping volume: bytes moved by ExportDelta instead
-  /// of a full snapshot (the replication traffic delta shipping saves is
-  /// snapshot_bytes vs delta_bytes).
+  /// Always 0: replication ships full snapshots only. Kept so the metrics
+  /// CSV (`io_delta_bytes` column) and the metrics-registry keys keep
+  /// their schema.
   uint64_t delta_bytes_out = 0;
   uint64_t delta_bytes_in = 0;
 

@@ -16,7 +16,7 @@ enum class FaultKind : uint8_t {
   /// `per_mille` (returns kInternal instead of fsyncing). Exercises the
   /// IoPool's bounded retry path.
   kFsyncFail,
-  /// Storage: snapshot/delta exports are torn — truncated at a
+  /// Storage: snapshot exports are torn — truncated at a
   /// deterministic byte offset — with probability `per_mille`.
   /// Exercises CRC-guarded import rejection and the executor's
   /// blocked-transfer handling.

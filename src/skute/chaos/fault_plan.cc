@@ -70,7 +70,7 @@ Result<FaultPlan> FaultPlan::Named(std::string_view name) {
     return plan;
   }
   if (name == "torn_transfer") {
-    // ~1 in 4 snapshot/delta exports is torn mid-record; imports reject
+    // ~1 in 4 snapshot exports is torn mid-record; imports reject
     // via CRC, the executor treats the transfer as blocked (source kept
     // intact) and the decision plane re-proposes.
     plan.AddWindow({Make(FaultKind::kTornTransfer, 250), 2, 0});

@@ -22,8 +22,8 @@ struct StorageFaultState {
   /// kFsyncFail window: probability (per mille) that a Flush fails.
   std::atomic<uint32_t> fsync_fail_pm{0};
   std::atomic<uint64_t> fsync_salt{0};
-  /// kTornTransfer window: probability (per mille) that a snapshot or
-  /// delta export is truncated.
+  /// kTornTransfer window: probability (per mille) that a snapshot
+  /// export is truncated.
   std::atomic<uint32_t> torn_pm{0};
   std::atomic<uint64_t> torn_salt{0};
   /// kSlowDisk window: emulated latency per flush (0 = off).

@@ -109,8 +109,7 @@ ActionExecutor::Outcome ActionExecutor::ApplyReplicate(
     (void)target->ReleaseStorage(bytes);
     return Outcome::kBlockedBandwidth;
   }
-  (copied.delta ? out->stats.delta_bytes : out->stats.snapshot_bytes) +=
-      copied.bytes;
+  out->stats.snapshot_bytes += copied.bytes;
 
   // AddReplica cannot fail: HasReplicaOn was checked above. The vnode id
   // was pre-allocated by the planner; the registry insert is deferred to
@@ -172,8 +171,7 @@ ActionExecutor::Outcome ActionExecutor::ApplyMigrate(
   (void)p->AddReplica(a.target, v->id, epoch);
   v->server = a.target;
   v->balance.Reset();
-  (moved.delta ? out->stats.delta_bytes : out->stats.snapshot_bytes) +=
-      moved.bytes;
+  out->stats.snapshot_bytes += moved.bytes;
 
   ++out->stats.migrations;
   out->stats.bytes_migrated += bytes;

@@ -34,9 +34,8 @@ struct ExecutorStats {
   /// moves) — the persistence-layer cost behind the catalog's logical
   /// byte counts.
   uint64_t snapshot_bytes = 0;
-  /// Incremental-delta bytes streamed instead of full snapshots (warm
-  /// destinations synced from the same source backend). snapshot_bytes +
-  /// delta_bytes is the epoch's total transfer traffic.
+  /// Always 0: every transfer streams a full snapshot. Kept so the
+  /// metrics CSV (`delta_bytes` column) keeps its schema.
   uint64_t delta_bytes = 0;
 
   uint64_t applied() const { return replications + migrations + suicides; }
@@ -189,10 +188,9 @@ class ActionExecutor {
                        const std::vector<RingPolicy>& policies,
                        ExecGroupResult* out);
 
-  /// Copy/Move return what was streamed ({0, false} when nothing real
-  /// was transferred) and whether it went as a delta. Worker-safe: they
-  /// only Find stores (the planner pre-created every transfer target's
-  /// store).
+  /// Copy/Move return what was streamed (0 bytes when nothing real was
+  /// transferred). Worker-safe: they only Find stores (the planner
+  /// pre-created every transfer target's store).
   TransferResult CopyRealData(ServerId from, ServerId to, PartitionId pid);
   TransferResult MoveRealData(ServerId from, ServerId to, PartitionId pid);
   void DropRealData(ServerId server, PartitionId pid);

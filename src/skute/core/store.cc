@@ -35,10 +35,7 @@ SkuteStore::~SkuteStore() = default;
 BackendFactory SkuteStore::FactoryForServer(ServerId id) const {
   const Server* s = cluster_->server(id);
   BackendFactory factory(s != nullptr ? s->backend() : BackendConfig{});
-  if (io_pool_ != nullptr) {
-    factory.AttachIoPool(io_pool_.get(),
-                         options_.durability.flush_watermark);
-  }
+  if (io_pool_ != nullptr) factory.AttachIoPool(io_pool_.get());
   if (fault_state_ != nullptr) {
     factory.EnableChaos(fault_state_, chaos_counters_);
   }
@@ -192,32 +189,21 @@ Status SkuteStore::ApplyUpsert(RingId ring, uint64_t key_hash,
   (void)p->UpsertObject(key_hash, size_bytes);
 
   const bool materialize = value != nullptr && options_.track_real_data;
-  const bool ship_logs = materialize && options_.durability.log_shipping;
   size_t live_replicas = 0;
-  size_t copies_written = 0;
   for (const ReplicaInfo& r : p->replicas()) {
     const Server* s = cluster_->server(r.server);
     if (s == nullptr || !s->online()) continue;
     ++live_replicas;
-    // Log shipping: only the primary (first live replica) takes the bytes
-    // now; secondaries catch up from its log at the epoch's durability
-    // point. Otherwise the write fans out to every live replica eagerly.
-    if (materialize && (!ship_logs || copies_written == 0)) {
+    if (materialize) {
       (void)replica_data_.For(r.server)
           .OpenOrCreate(p->id())
           ->Put(key, *value);
-      ++copies_written;
     }
   }
-  if (ship_logs && copies_written > 0) dirty_partitions_.insert(p->id());
-  // Consistency fan-out: every live replica hears about the write; the
-  // bytes travel to every copy written *now* (all of them, or just the
-  // primary under log shipping — the deferred sync traffic is accounted
-  // by the durability stage when it actually moves).
+  // Consistency fan-out: the write's bytes travel to every live replica.
   comm_epoch_.consistency_msgs += live_replicas;
   comm_epoch_.consistency_bytes +=
-      static_cast<uint64_t>(size_bytes) *
-      (ship_logs ? copies_written : live_replicas);
+      static_cast<uint64_t>(size_bytes) * live_replicas;
 
   stats_[p->id()].write_bytes += size_bytes;
   MaybeSplit(p);
@@ -541,8 +527,6 @@ EpochContext SkuteStore::MakeEpochContext(
   ctx.placement_version = &placement_version_;
   ctx.replica_data = options_.track_real_data ? &replica_data_ : nullptr;
   ctx.io_pool = io_pool_.get();
-  ctx.durability = &options_.durability;
-  ctx.dirty_partitions = &dirty_partitions_;
   return ctx;
 }
 

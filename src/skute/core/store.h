@@ -6,7 +6,6 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "skute/chaos/fault_state.h"
@@ -43,8 +42,8 @@ struct SkuteOptions {
   /// Maintain real key-value bytes in per-server ReplicaStores when values
   /// are provided (examples/tests); synthetic puts never materialize data.
   bool track_real_data = true;
-  /// Async durability plane: I/O offload pool, group-committed flushes,
-  /// periodic checkpoints, log shipping. Defaults keep it all off.
+  /// Async durability plane: I/O offload pool and group-committed
+  /// flushes. Defaults keep it off.
   DurabilityOptions durability;
 };
 
@@ -140,7 +139,7 @@ class SkuteStore {
   /// Put with a materialized synthetic value of `value_bytes` bytes: the
   /// real-data sibling of PutSynthetic. What the simulator's --real-data
   /// mode drives, so durable/file backends see genuine write traffic
-  /// (WAL appends, flush watermarks, shippable deltas) without callers
+  /// (WAL appends, group-committed flushes) without callers
   /// inventing payloads.
   Status PutSized(RingId ring, std::string_view key, uint32_t value_bytes);
 
@@ -276,10 +275,6 @@ class SkuteStore {
   /// The I/O offload pool (nullptr when durability.io_threads == 0).
   IoPool* io_pool() { return io_pool_.get(); }
 
-  /// Partitions whose primary took log-shipped writes since the last
-  /// durability-stage sync (empty unless durability.log_shipping).
-  size_t dirty_partition_count() const { return dirty_partitions_.size(); }
-
   /// The policies vector the decision passes run against (rebuilt lazily).
   const std::vector<RingPolicy>& policies();
 
@@ -337,10 +332,6 @@ class SkuteStore {
 
   Epoch epoch_ = 0;
   PartitionStatsMap stats_;
-  /// Log-shipping bookkeeping: partitions whose primary absorbed writes
-  /// that secondaries have not seen yet (synced + cleared by the
-  /// durability stage each epoch).
-  std::unordered_set<PartitionId> dirty_partitions_;
   std::vector<uint64_t> ring_queries_epoch_;
   std::vector<double> ring_spend_epoch_;
   std::vector<double> ring_spend_total_;

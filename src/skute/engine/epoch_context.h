@@ -17,11 +17,8 @@
 #include "skute/engine/epoch_options.h"
 #include "skute/engine/shard.h"
 #include "skute/engine/worker_pool.h"
-#include "skute/io/durability_options.h"
 #include "skute/ring/catalog.h"
 #include "skute/storage/replica_store.h"
-
-#include <unordered_set>
 
 namespace skute {
 
@@ -78,14 +75,10 @@ class EpochContext {
 
   // --- Durability plane (borrowed from the store) -------------------------
   /// Per-server replica data; nullptr when real data is off (the
-  /// durability stage then has nothing to flush, sync, or checkpoint).
+  /// durability stage then has nothing to flush).
   ReplicaDataMap* replica_data = nullptr;
   /// I/O offload pool; nullptr when durability.io_threads == 0.
   IoPool* io_pool = nullptr;
-  const DurabilityOptions* durability = nullptr;
-  /// Partitions whose primary took log-shipped writes this epoch; the
-  /// durability stage syncs secondaries from them and clears the set.
-  std::unordered_set<PartitionId>* dirty_partitions = nullptr;
 
   // --- Staged data (owned by the context, passed between stages) ----------
   /// Proposal stage output, execution stage input.

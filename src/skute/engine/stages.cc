@@ -225,81 +225,15 @@ void ExecuteStage::Run(EpochContext& ctx) {
 // --- DurabilityStage --------------------------------------------------------
 
 void DurabilityStage::Run(EpochContext& ctx) {
-  if (ctx.replica_data == nullptr) return;
-  const DurabilityOptions* opts = ctx.durability;
-
-  // (1) Log shipping: secondaries catch up from each dirty partition's
-  // primary. Dirty ids are sorted first so the transfer order (and hence
-  // the per-backend byte counters and trace spans) never depends on the
-  // unordered set's iteration order.
-  if (opts != nullptr && opts->log_shipping &&
-      ctx.dirty_partitions != nullptr && !ctx.dirty_partitions->empty()) {
-    obs::TraceSpan span(
-        "io", "durability.ship_logs",
-        static_cast<uint64_t>(ctx.dirty_partitions->size()));
-    std::vector<PartitionId> dirty(ctx.dirty_partitions->begin(),
-                                   ctx.dirty_partitions->end());
-    std::sort(dirty.begin(), dirty.end());
-    for (const PartitionId pid : dirty) {
-      const Partition* p = ctx.catalog->partition(pid);
-      if (p == nullptr) continue;  // lost since the write
-      // The primary is the first live replica actually hosting bytes:
-      // the write path targeted the first live replica at write time,
-      // but replicas may have moved during execution, so resolve against
-      // live state rather than a remembered server id.
-      const ReplicaStore* primary = nullptr;
-      ServerId primary_server = kInvalidServer;
-      for (const ReplicaInfo& r : p->replicas()) {
-        const Server* s = ctx.cluster->server(r.server);
-        if (s == nullptr || !s->online()) continue;
-        const ReplicaStore* rs = ctx.replica_data->Find(r.server);
-        if (rs != nullptr && rs->Find(pid) != nullptr) {
-          primary = rs;
-          primary_server = r.server;
-          break;
-        }
-      }
-      if (primary == nullptr) continue;
-      for (const ReplicaInfo& r : p->replicas()) {
-        if (r.server == primary_server) continue;
-        const Server* s = ctx.cluster->server(r.server);
-        if (s == nullptr || !s->online()) continue;
-        auto shipped =
-            ctx.replica_data->For(r.server).CopyFrom(*primary, pid);
-        if (!shipped.ok()) continue;
-        // The consistency traffic deferred at write time moves here.
-        ++ctx.comm_epoch->consistency_msgs;
-        ctx.comm_epoch->consistency_bytes += shipped->bytes;
-      }
-    }
-    ctx.dirty_partitions->clear();
-  }
-
-  // (2) Periodic checkpoints (the epoch counter increments in the
-  // accounting stage after us, so *ctx.epoch is still the current
-  // epoch). Checkpoints run as pool jobs when a pool exists — they fsync
-  // independently per backend, so parallelism is free.
-  if (opts != nullptr && opts->checkpoint_interval > 0 &&
-      (*ctx.epoch + 1) % opts->checkpoint_interval == 0) {
-    ctx.replica_data->ForEachBackend([&ctx](StorageBackend* b) {
-      if (ctx.io_pool != nullptr) {
-        ctx.io_pool->Submit(b, [b] { b->Checkpoint(); });
-      } else {
-        b->Checkpoint();
-      }
-    });
-  }
-
-  // (3) Group-committed flush: sweep the epoch's unflushed residue into
-  // the pool (joining whatever watermark submissions the write path
-  // already queued) and drain — one fsync per dirty backend, however
-  // many submissions it accumulated.
-  if (ctx.io_pool != nullptr) {
-    ctx.replica_data->ForEachBackend([&ctx](StorageBackend* b) {
-      if (b->UnflushedBytes() > 0) ctx.io_pool->SubmitFlush(b);
-    });
-    (void)ctx.io_pool->Drain();
-  }
+  if (ctx.replica_data == nullptr || ctx.io_pool == nullptr) return;
+  // Group-committed flush: sweep the epoch's unflushed residue into the
+  // pool (joining whatever watermark submissions the write path already
+  // queued) and drain — one fsync per dirty backend, however many
+  // submissions it accumulated.
+  ctx.replica_data->ForEachBackend([&ctx](StorageBackend* b) {
+    if (b->UnflushedBytes() > 0) ctx.io_pool->SubmitFlush(b);
+  });
+  (void)ctx.io_pool->Drain();
 }
 
 // --- AccountingStage --------------------------------------------------------

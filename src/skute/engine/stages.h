@@ -79,17 +79,11 @@ class ExecuteStage : public EpochStage {
 };
 
 /// \brief The epoch's durability quiesce point, between execution and
-/// accounting: (1) under log shipping, syncs every dirty partition's
-/// secondaries from its primary's log — incremental deltas when the
-/// destination is warm from the same source, full snapshots otherwise —
-/// and accounts the deferred consistency traffic; (2) every
-/// checkpoint_interval epochs, checkpoints WAL-keeping backends (as pool
-/// jobs when a pool exists); (3) sweeps backends with unflushed bytes
-/// into the IoPool and drains it, so concurrent flush submissions for
-/// one backend collapse into a single group-committed fsync. All work is
-/// driven by epoch state and per-backend byte counts — a pure function
-/// of the epoch's writes — so threads=1 and threads=N stay bit-for-bit
-/// identical.
+/// accounting: sweeps backends with unflushed bytes into the IoPool and
+/// drains it, so concurrent flush submissions for one backend collapse
+/// into a single group-committed fsync. The sweep is driven by
+/// per-backend byte counts — a pure function of the epoch's writes — so
+/// threads=1 and threads=N stay bit-for-bit identical.
 class DurabilityStage : public EpochStage {
  public:
   const char* name() const override { return "durability"; }

@@ -1,41 +1,21 @@
 #ifndef SKUTE_IO_DURABILITY_OPTIONS_H_
 #define SKUTE_IO_DURABILITY_OPTIONS_H_
 
-#include <cstdint>
-
 namespace skute {
 
 /// \brief Tuning of the async durability plane (skute/io): the I/O
-/// offload pool, the epoch-end group-committed flush, periodic WAL
-/// checkpoints, and primary-to-secondary log shipping.
+/// offload pool and the epoch-end group-committed flush.
 ///
-/// Defaults keep the plane off entirely (the pre-durability behaviour):
-/// no pool, no checkpoints, writes fan out to every replica eagerly.
+/// The default keeps the plane off (the pre-durability behaviour): no
+/// pool, every backend fsyncs inline. Writes always fan out to every live
+/// replica eagerly, pool or not.
 struct DurabilityOptions {
   /// Worker threads of the I/O offload pool; 0 = no pool (flushes stay
-  /// synchronous inside each backend and nothing group-commits).
+  /// synchronous inside each backend and nothing group-commits). With a
+  /// pool, every write submits its backend for a flush, and all of an
+  /// epoch's submissions for one backend collapse into a single fsync at
+  /// the epoch's drain point.
   int io_threads = 0;
-
-  /// A backend whose unflushed bytes reach this watermark submits itself
-  /// for a group-committed flush, executed at the next drain point
-  /// (epoch end). 0 = submit on every write once the pool exists —
-  /// maximal coalescing, since all of an epoch's submissions for one
-  /// backend collapse into a single fsync.
-  uint64_t flush_watermark = 0;
-
-  /// Checkpoint WAL-keeping backends every N epochs (0 = never).
-  /// Checkpointing truncates the shippable log, so the next replication
-  /// to a destination synced before the checkpoint falls back to a full
-  /// snapshot.
-  uint32_t checkpoint_interval = 0;
-
-  /// Log-shipping mode: a Put lands its real bytes on the primary
-  /// replica only and marks the partition dirty; the durability stage
-  /// syncs secondaries from the primary at epoch end — incremental
-  /// deltas when the destination is warm from the same source, full
-  /// snapshots otherwise. Off: writes fan out to every live replica
-  /// inside Put (the seed behaviour).
-  bool log_shipping = false;
 };
 
 }  // namespace skute

@@ -47,8 +47,6 @@ RunOverrides ParseOverrides(int argc, char** argv,
       o.real_data = static_cast<uint32_t>(std::atoi(arg + 12));
     } else if (HasPrefix(arg, "--io-threads=")) {
       o.io_threads = std::atoi(arg + 13);
-    } else if (std::strcmp(arg, "--log-shipping") == 0) {
-      o.log_shipping = true;
     } else if (std::strcmp(arg, "--serve") == 0) {
       o.serve_port = 0;  // ephemeral port, printed at startup
     } else if (HasPrefix(arg, "--serve=")) {
@@ -132,9 +130,6 @@ void ApplyOverrides(SimConfig* config, const RunOverrides& overrides,
   }
   if (overrides.io_threads >= 0) {
     config->store.durability.io_threads = overrides.io_threads;
-  }
-  if (overrides.log_shipping) {
-    config->store.durability.log_shipping = true;
   }
   if (!overrides.placement.empty()) {
     if (overrides.placement == "economic") {

@@ -43,9 +43,6 @@ struct RunOverrides {
   /// -1 = spec default; --io-threads=N sizes the store's background
   /// I/O offload pool (0 disables it).
   int io_threads = -1;
-  /// --log-shipping: write real values to the primary replica only and
-  /// let the durability stage ship WAL deltas to the secondaries.
-  bool log_shipping = false;
   /// -1 = no service plane; --serve=PORT starts a NetService on
   /// 127.0.0.1:PORT (0 picks an ephemeral port, printed at startup) and
   /// pumps live connections in the between-epochs serve window. Implies
@@ -64,8 +61,8 @@ struct RunOverrides {
 /// Parses --epochs=N, --seed=S, --sample=K, --csv, --threads=T,
 /// --backend=memory|durable|file, --placement=economic|static,
 /// --out=FILE, --trace=FILE, --metrics-json=FILE, --real-data=BYTES,
-/// --io-threads=N, --log-shipping, --serve[=PORT],
-/// --net-clients=N and --fault=PLAN. Unrecognized `--*`
+/// --io-threads=N, --serve[=PORT], --net-clients=N and
+/// --fault=PLAN. Unrecognized `--*`
 /// arguments warn to stderr (a typo like --backnd=file must not silently
 /// run the default). `extra_exact` / `extra_prefix` name additional
 /// flags the caller consumes itself (e.g. skute_scenarios' --list /

@@ -60,24 +60,6 @@ void ReplicaStore::Clear() {
   stores_.clear();
 }
 
-/// Ships a delta when the destination's last sync came from this exact
-/// source backend instance and the source's log still reaches back to
-/// that point. Returns false when the pair must fall back to a snapshot.
-bool ReplicaStore::TryShipDelta(const StorageBackend& from,
-                                StorageBackend* dst,
-                                TransferResult* result) {
-  if (!from.SupportsDeltaExport()) return false;
-  if (dst->sync_origin().source_token != from.sync_token()) return false;
-  auto delta = from.ExportDelta(dst->sync_origin().source_seq);
-  if (!delta.ok()) return false;  // truncated/ahead: snapshot fallback
-  if (!dst->ImportDelta(*delta).ok()) return false;
-  dst->set_sync_origin(StorageBackend::SyncOrigin{
-      from.sync_token(), from.DeltaSequence()});
-  result->bytes = delta->size();
-  result->delta = true;
-  return true;
-}
-
 Result<TransferResult> ReplicaStore::CopyFrom(const ReplicaStore& src,
                                               uint64_t partition_id) {
   const StorageBackend* from = src.Find(partition_id);
@@ -85,18 +67,13 @@ Result<TransferResult> ReplicaStore::CopyFrom(const ReplicaStore& src,
     return Status::NotFound("source does not host the partition");
   }
   StorageBackend* dst = OpenOrCreate(partition_id);
-  TransferResult result;
-  if (TryShipDelta(*from, dst, &result)) return result;
-  // Full snapshot. A warm destination is wiped first: replication means
-  // "make the destination this replica", and replaying a snapshot over
-  // diverged state could leave stray keys behind.
+  // A warm destination is wiped first: replication means "make the
+  // destination this replica", and replaying a snapshot over diverged
+  // state could leave stray keys behind.
   const std::string snapshot = from->ExportSnapshot();
   if (dst->Count() > 0) (void)dst->Wipe();
   SKUTE_RETURN_IF_ERROR(dst->ImportSnapshot(snapshot));
-  dst->set_sync_origin(StorageBackend::SyncOrigin{
-      from->sync_token(), from->DeltaSequence()});
-  result.bytes = snapshot.size();
-  return result;
+  return TransferResult{snapshot.size()};
 }
 
 Result<TransferResult> ReplicaStore::MoveFrom(ReplicaStore* src,
@@ -119,30 +96,16 @@ Result<TransferResult> ReplicaStore::MoveFrom(ReplicaStore* src,
     src->stores_.erase(it);
     return TransferResult{};
   }
-  // General path: ship (delta when the destination is warm from this
-  // same source, full snapshot otherwise), then drop the source replica.
+  // General path: ship a full snapshot, then drop the source replica.
   // The destination's backend may be a different kind than the source's.
-  TransferResult result;
-  StorageBackend* warm_dst = Find(partition_id);
-  if (warm_dst != nullptr &&
-      TryShipDelta(*it->second, warm_dst, &result)) {
-    (void)it->second->Wipe();
-    src->Retire(it->second.get());
-    src->stores_.erase(it);
-    return result;
-  }
   const std::string snapshot = it->second->ExportSnapshot();
-  const StorageBackend::SyncOrigin origin{it->second->sync_token(),
-                                          it->second->DeltaSequence()};
-  if (warm_dst != nullptr) (void)Drop(partition_id);
+  if (Find(partition_id) != nullptr) (void)Drop(partition_id);
   StorageBackend* dst = OpenOrCreate(partition_id);
   SKUTE_RETURN_IF_ERROR(dst->ImportSnapshot(snapshot));
-  dst->set_sync_origin(origin);
   (void)it->second->Wipe();
   src->Retire(it->second.get());
   src->stores_.erase(it);
-  result.bytes = snapshot.size();
-  return result;
+  return TransferResult{snapshot.size()};
 }
 
 void ReplicaStore::ForEachBackend(

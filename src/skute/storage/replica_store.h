@@ -12,12 +12,10 @@
 
 namespace skute {
 
-/// What one replication/migration transfer actually moved: the bytes
-/// that crossed the "wire" and whether they were an incremental delta
-/// (log records since the destination's sync point) or a full snapshot.
+/// What one replication/migration transfer actually moved: the snapshot
+/// bytes that crossed the "wire".
 struct TransferResult {
   uint64_t bytes = 0;
-  bool delta = false;
   /// True when the transfer was attempted but did not complete (torn
   /// stream, import rejection) — distinct from "nothing real to move"
   /// (synthetic partitions), which is ok with 0 bytes. The executor
@@ -59,17 +57,13 @@ class ReplicaStore {
   /// when not hosted.
   Status Drop(uint64_t partition_id);
 
-  /// Replication: ships `partition_id` from `src` into this store. When
-  /// the destination replica was last synced from this same source
-  /// backend and the source keeps a delta-capable log, only the records
-  /// since that sync point cross the wire; otherwise (cold destination,
-  /// cross-backend pair, log truncated by a checkpoint) a full snapshot
-  /// does — a warm destination is wiped first so the copy is exact.
+  /// Replication: ships a full snapshot of `partition_id` from `src` into
+  /// this store. A warm destination is wiped first so the copy is exact.
   Result<TransferResult> CopyFrom(const ReplicaStore& src,
                                   uint64_t partition_id);
 
-  /// Migration: moves `partition_id` from `src` into this store (delta
-  /// upgrade as in CopyFrom; 0 bytes for the in-memory handoff path).
+  /// Migration: moves `partition_id` from `src` into this store (a
+  /// snapshot stream; 0 bytes for the in-memory handoff path).
   Result<TransferResult> MoveFrom(ReplicaStore* src, uint64_t partition_id);
 
   size_t partition_count() const { return stores_.size(); }
@@ -93,11 +87,6 @@ class ReplicaStore {
  private:
   /// Folds a backend's counters into retired_io_ before it is destroyed.
   void Retire(StorageBackend* backend);
-
-  /// Attempts the incremental path of CopyFrom/MoveFrom; false means the
-  /// caller must ship a full snapshot.
-  static bool TryShipDelta(const StorageBackend& from, StorageBackend* dst,
-                           TransferResult* result);
 
   std::unordered_map<uint64_t, std::unique_ptr<StorageBackend>> stores_;
   BackendFactory factory_;

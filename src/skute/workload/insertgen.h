@@ -17,7 +17,7 @@ struct InsertWorkloadOptions {
   /// When nonzero, inserts carry real values of this many bytes (via
   /// SkuteStore::PutSized) instead of synthetic size-only records. Real
   /// values flow through the storage backends, which is what exercises
-  /// the durability plane (WAL appends, group commit, log shipping);
+  /// the durability plane (WAL appends, group commit, snapshot repair);
   /// synthetic inserts only move accounting counters. The store must be
   /// built with track_real_data = true for the bytes to materialize.
   uint32_t real_value_bytes = 0;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "skute/backend/config.h"
+#include "skute/backend/factory.h"
 #include "skute/storage/replica_store.h"
 
 namespace skute {
@@ -113,16 +115,40 @@ TEST(ReplicaStoreTest, DropRemovesData) {
 }
 
 TEST(ReplicaStoreTest, CopyFromOtherServer) {
-  ReplicaStore src, dst;
-  ASSERT_TRUE(src.OpenOrCreate(3)->Put("k", "v").ok());
-  auto streamed = dst.CopyFrom(src, 3);
-  ASSERT_TRUE(streamed.ok());
-  EXPECT_GT(streamed->bytes, 0u);  // snapshot bytes crossed the "wire"
-  ASSERT_NE(dst.Find(3), nullptr);
-  EXPECT_EQ(*dst.Find(3)->Get("k"), "v");
-  // Source keeps its copy (replication, not migration).
-  EXPECT_NE(src.Find(3), nullptr);
-  EXPECT_TRUE(dst.CopyFrom(src, 99).status().IsNotFound());
+  // Memory and WAL backends alike: every copy is a full snapshot, and a
+  // warm destination ends up an exact copy of the source.
+  for (const BackendKind kind : {BackendKind::kMemory, BackendKind::kDurable}) {
+    SCOPED_TRACE(BackendKindName(kind));
+    BackendConfig config;
+    config.kind = kind;
+    ReplicaStore src{BackendFactory(config)}, dst{BackendFactory(config)};
+    ASSERT_TRUE(src.OpenOrCreate(3)->Put("k", "v").ok());
+    auto streamed = dst.CopyFrom(src, 3);
+    ASSERT_TRUE(streamed.ok());
+    EXPECT_GT(streamed->bytes, 0u);  // snapshot bytes crossed the "wire"
+    ASSERT_NE(dst.Find(3), nullptr);
+    EXPECT_EQ(*dst.Find(3)->Get("k"), "v");
+    // Source keeps its copy (replication, not migration).
+    EXPECT_NE(src.Find(3), nullptr);
+    EXPECT_TRUE(dst.CopyFrom(src, 99).status().IsNotFound());
+
+    // Re-sync after a source append ships the whole state again.
+    ASSERT_TRUE(src.Find(3)->Put("k2", "v2").ok());
+    auto resync = dst.CopyFrom(src, 3);
+    ASSERT_TRUE(resync.ok());
+    EXPECT_GT(resync->bytes, streamed->bytes);
+    EXPECT_EQ(dst.Find(3)->Count(), 2u);
+
+    // A warm destination re-synced from a different source is wiped
+    // first: replication means "become this replica", so none of the old
+    // source's keys may survive.
+    ReplicaStore other{BackendFactory(config)};
+    ASSERT_TRUE(other.OpenOrCreate(3)->Put("only-b", "bb").ok());
+    ASSERT_TRUE(dst.CopyFrom(other, 3).ok());
+    EXPECT_EQ(dst.Find(3)->Count(), 1u);
+    EXPECT_EQ(*dst.Find(3)->Get("only-b"), "bb");
+    EXPECT_TRUE(dst.Find(3)->Get("k").status().IsNotFound());
+  }
 }
 
 TEST(ReplicaStoreTest, MoveFromOtherServer) {

@@ -1,7 +1,9 @@
-// Property sweep: for any random operation sequence, replaying the WAL
-// into a fresh store reproduces exactly the state of a reference model —
-// and replaying any truncated prefix reproduces the reference model of
-// the corresponding operation prefix.
+// Property sweep: for any random operation sequence, replaying the
+// DurableBackend's WAL into a fresh backend reproduces exactly the state
+// of a reference model — and replaying any truncated prefix reproduces
+// the reference model of the corresponding operation prefix. Deletes of
+// missing keys are NotFound and unlogged (the backend contract), so
+// they leave both the log and the model untouched.
 
 #include <map>
 #include <string>
@@ -9,7 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "skute/common/random.h"
-#include "skute/storage/durable.h"
+#include "skute/backend/durable_backend.h"
 
 namespace skute {
 namespace {
@@ -52,7 +54,19 @@ std::map<std::string, std::string> Reference(const std::vector<Op>& ops,
   return model;
 }
 
-void ExpectMatches(const DurableKvStore& store,
+/// Applies one op; returns whether it appended a log record (a Delete of
+/// a missing key is NotFound and logs nothing).
+bool Apply(DurableBackend* store, const Op& op) {
+  if (op.is_put) {
+    EXPECT_TRUE(store->Put(op.key, op.value).ok());
+    return true;
+  }
+  const Status st = store->Delete(op.key);
+  EXPECT_TRUE(st.ok() || st.IsNotFound()) << op.key;
+  return st.ok();
+}
+
+void ExpectMatches(const DurableBackend& store,
                    const std::map<std::string, std::string>& model) {
   ASSERT_EQ(store.Count(), model.size());
   for (const auto& [key, value] : model) {
@@ -66,18 +80,13 @@ class WalPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(WalPropertyTest, FullReplayEqualsReferenceModel) {
   const std::vector<Op> ops = RandomOps(GetParam(), 300);
-  DurableKvStore original;
-  for (const Op& op : ops) {
-    if (op.is_put) {
-      ASSERT_TRUE(original.Put(op.key, op.value).ok());
-    } else {
-      ASSERT_TRUE(original.Delete(op.key).ok());
-    }
-  }
-  DurableKvStore rebuilt;
+  DurableBackend original;
+  size_t logged = 0;
+  for (const Op& op : ops) logged += Apply(&original, op) ? 1 : 0;
+  DurableBackend rebuilt;
   auto applied = rebuilt.Recover(original.log());
   ASSERT_TRUE(applied.ok());
-  EXPECT_EQ(*applied, ops.size());
+  EXPECT_EQ(*applied, logged);
   ExpectMatches(rebuilt, Reference(ops, ops.size()));
   // Idempotence-of-state: recovering the same log again converges to the
   // same state (every op replays LWW-style).
@@ -87,36 +96,37 @@ TEST_P(WalPropertyTest, FullReplayEqualsReferenceModel) {
 
 TEST_P(WalPropertyTest, AnyRecordPrefixEqualsOperationPrefix) {
   const std::vector<Op> ops = RandomOps(GetParam() ^ 0xabcd, 60);
-  DurableKvStore original;
-  // Record the log length after every operation.
+  DurableBackend original;
+  // Record the log length and record count after every operation.
   std::vector<size_t> boundaries;
+  std::vector<size_t> records;
+  size_t logged = 0;
   for (const Op& op : ops) {
-    if (op.is_put) {
-      ASSERT_TRUE(original.Put(op.key, op.value).ok());
-    } else {
-      ASSERT_TRUE(original.Delete(op.key).ok());
-    }
+    logged += Apply(&original, op) ? 1 : 0;
     boundaries.push_back(original.log().size());
+    records.push_back(logged);
   }
   // Every clean prefix replays to the matching reference model.
   for (size_t i = 0; i < boundaries.size(); i += 7) {
-    DurableKvStore rebuilt;
+    DurableBackend rebuilt;
     auto applied = rebuilt.Recover(
         std::string_view(original.log()).substr(0, boundaries[i]));
     ASSERT_TRUE(applied.ok());
-    EXPECT_EQ(*applied, i + 1);
+    EXPECT_EQ(*applied, records[i]);
     ExpectMatches(rebuilt, Reference(ops, i + 1));
   }
-  // A torn cut inside record i+1 recovers the state up to record i.
-  if (boundaries.size() >= 2) {
-    const size_t cut = boundaries[boundaries.size() - 2] + 3;
-    DurableKvStore rebuilt;
-    auto applied = rebuilt.Recover(
-        std::string_view(original.log()).substr(0, cut));
-    ASSERT_TRUE(applied.ok());
-    EXPECT_EQ(*applied, boundaries.size() - 1);
-    ExpectMatches(rebuilt, Reference(ops, ops.size() - 1));
-  }
+  // A torn cut inside the last logged record recovers the state before
+  // the op that logged it (later ops are unlogged, state-neutral deletes).
+  size_t k = ops.size() - 1;  // the op that appended the last record
+  while (k > 0 && records[k] == records[k - 1]) --k;
+  ASSERT_GE(k, 1u);
+  const size_t cut = boundaries[k - 1] + 3;
+  DurableBackend rebuilt;
+  auto applied =
+      rebuilt.Recover(std::string_view(original.log()).substr(0, cut));
+  ASSERT_TRUE(applied.ok());
+  EXPECT_EQ(*applied, records[k] - 1);
+  ExpectMatches(rebuilt, Reference(ops, k));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, WalPropertyTest,
